@@ -1,15 +1,17 @@
 """Multi-session occupancy-mapping service layer.
 
 The paper's accelerator maps one scene for one caller; this package turns it
-into a *service*: many named map sessions, each sharded over a pool of
-:class:`~repro.core.accelerator.OMUAccelerator` workers, behind a batched
-ingestion pipeline and a cached query engine.
+into a *service*: many named map sessions, each sharded over a pool of shard
+workers, behind a batched ingestion pipeline and a cached query engine.  A
+shard keeps its map in an array core (:mod:`repro.serving.array_core`) that
+computes the same map as the modelled PE array; the cycle model itself stays
+on :class:`~repro.core.accelerator.OMUAccelerator`.
 
 * :mod:`repro.serving.types` -- request / response dataclasses
   (:class:`ScanRequest`, :class:`QueryResponse`, ...) plus the pickle-safe
   ``Shard*`` messages the execution backends exchange with shard workers.
 * :mod:`repro.serving.sharding` -- octree-key-prefix shard routing and the
-  :class:`MapShardWorker` accelerator wrapper.
+  :class:`MapShardWorker` wrapper around one shard's array core.
 * :mod:`repro.serving.backends` -- pluggable shard execution
   (:class:`InlineBackend`, :class:`ThreadPoolBackend`,
   :class:`ProcessPoolBackend`).

@@ -1,7 +1,7 @@
 """Pluggable shard execution backends: inline, thread pool, process pool.
 
 PR 2 sharded each map session over :class:`~repro.serving.sharding.
-MapShardWorker` accelerators, but every worker still executed serially in the
+MapShardWorker` instances, but every worker still executed serially in the
 caller's thread -- sharding bought modelled-hardware parallelism and zero
 wall-clock speedup.  This module makes the execution substrate pluggable:
 
@@ -9,12 +9,11 @@ wall-clock speedup.  This module makes the execution substrate pluggable:
   thread and apply their slices one after another.  Zero overhead, zero
   parallelism; every other backend must be leaf-for-leaf identical to it.
 * :class:`ThreadPoolBackend` -- workers live in the calling process but each
-  shard's slice is applied on a thread pool.  The GIL serialises the pure-
-  Python accelerator model, so this backend mainly exercises the concurrent
-  fan-out/gather machinery (and would win if the update path grew C/numpy
-  kernels that release the GIL).
+  shard's slice is applied on a thread pool.  The shard apply is a handful
+  of numpy kernels, which release the GIL for part of their run; the rest
+  of the flush stays serialised.
 * :class:`ProcessPoolBackend` -- one OS process per shard, each owning its
-  shard's :class:`~repro.core.accelerator.OMUAccelerator`.  The session's
+  shard's :class:`~repro.serving.sharding.MapShardWorker`.  The session's
   flush fans update batches out to all shard processes and gathers their
   acknowledgements, so ingestion finally scales with cores.
 

@@ -110,6 +110,10 @@ class HttpError(Exception):
         return {"error": error}
 
 
+def _refuse_constant(token: str) -> Any:
+    raise ValueError(f"non-finite number {token!r}")
+
+
 @dataclass
 class HttpRequest:
     """One parsed request: head fields plus the (bounded) body."""
@@ -121,10 +125,14 @@ class HttpRequest:
     body: bytes
 
     def json(self) -> Any:
-        """The body parsed as JSON; raises :class:`HttpError` 400 on junk."""
+        """The body parsed as JSON; raises :class:`HttpError` 400 on junk.
+
+        ``NaN``, ``Infinity`` and ``-Infinity`` tokens are junk too: they are
+        not JSON, and a non-finite coordinate has no voxel.
+        """
         try:
-            return json.loads(self.body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
+            return json.loads(self.body.decode("utf-8"), parse_constant=_refuse_constant)
+        except (UnicodeDecodeError, ValueError) as error:
             raise HttpError(400, "bad_json", f"request body is not valid JSON: {error}") from None
 
 

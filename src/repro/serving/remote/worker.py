@@ -59,6 +59,7 @@ class ShardWorkerServer:
         self._lock = threading.Lock()
         self._connections: List[socket.socket] = []
         self._stopping = threading.Event()
+        self._listener_closed = threading.Event()
         self._accept_thread: Optional[threading.Thread] = None
 
     # ------------------------------------------------------------------
@@ -179,6 +180,7 @@ class ShardWorkerServer:
             self._listener.close()
         except OSError:  # pragma: no cover
             pass
+        self._listener_closed.set()
         with self._lock:
             connections, self._connections = self._connections, []
         for connection in connections:
@@ -200,8 +202,12 @@ class ShardWorkerServer:
 
     @property
     def alive(self) -> bool:
-        """True while the server is accepting connections."""
-        return not self._stopping.is_set()
+        """True while the server is accepting connections.
+
+        Turns False only once the listener is closed: a shutdown that has
+        begun but not yet closed the port still accepts connections.
+        """
+        return not self._listener_closed.is_set()
 
 
 class LocalWorkerHandle:

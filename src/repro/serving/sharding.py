@@ -1,8 +1,13 @@
 """Spatial sharding: octree-key-prefix routing and map shard workers.
 
-A map session spreads its octree over a pool of shard workers, each a full
-:class:`~repro.core.accelerator.OMUAccelerator` instance that owns a disjoint
-region of the key space.  Routing reuses the accelerator's own
+A map session spreads its octree over a pool of shard workers, each owning a
+disjoint region of the key space.  A worker keeps its region in an
+:class:`~repro.serving.array_core.ArrayCore`: sorted packed leaf codes plus
+fixed-point log-odds, updated with vectorized clamped adds.  The map it holds
+equals what the modelled PE array of
+:class:`~repro.core.accelerator.OMUAccelerator` would hold; the cycle counts
+it reports are nominal, and the exact cycle model with the paper's tables
+lives only on ``OMUAccelerator``.  Routing reuses the accelerator's
 address-generation view of the key bits: the first ``prefix_levels`` child
 indices of the root-to-leaf path select the subtree, and the subtree number
 modulo the shard count selects the worker (see
@@ -10,8 +15,7 @@ modulo the shard count selects the worker (see
 
 This is the same first-level-branch partitioning the paper uses *inside* one
 accelerator, lifted one level up: PEs parallelise within a chip, shards
-parallelise across chips (or across processes, once the serving layer grows a
-distributed backend).
+parallelise across threads, processes or hosts.
 
 Prefix depth picks the granularity.  ``prefix_levels=1`` shards by octant;
 deeper prefixes shard by progressively smaller blocks (the session default of
@@ -19,7 +23,9 @@ deeper prefixes shard by progressively smaller blocks (the session default of
 whose eight children it fully owns, and modulo routing never hands all eight
 children of an above-prefix node to one shard (for ``num_shards >= 2``),
 every exported leaf -- pruned or not -- stays inside its shard's own key
-region, which is what makes the export stitch conflict-free.
+region, which is what makes the export stitch conflict-free.  The same
+property bounds a snapshot restore: expanding a shard's pruned leaves back
+to finest leaves yields at most the leaves the shard held.
 """
 
 from __future__ import annotations
@@ -28,14 +34,13 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.accelerator import OMUAccelerator
 from repro.core.address_gen import AddressGenerator
 from repro.core.config import OMUConfig
 from repro.core.query_unit import QueryResult
 from repro.core.scheduler import VoxelUpdateRequest
-from repro.core.timing import ScanTiming
 from repro.octomap.keys import KeyConverter, OcTreeKey
 from repro.octomap.octree import OccupancyOcTree
+from repro.serving.array_core import ArrayCore
 from repro.serving.types import (
     ShardApplyResult,
     ShardExportResult,
@@ -129,7 +134,7 @@ class ShardRouter:
 
 
 class MapShardWorker:
-    """One shard of a session's map: an accelerator plus a write generation.
+    """One shard of a session's map: an array core plus a write generation.
 
     The worker is the unit of parallelism and of cache invalidation: every
     applied batch bumps :attr:`generation`, which the query cache uses to
@@ -139,35 +144,34 @@ class MapShardWorker:
     def __init__(self, shard_id: int, config: OMUConfig) -> None:
         self.shard_id = shard_id
         self.config = config
-        self.accelerator = OMUAccelerator(config)
+        self.core = ArrayCore(config)
         self.generation = 0
         self.batches_applied = 0
         self.updates_applied = 0
 
-    def apply_updates(self, requests: Sequence[VoxelUpdateRequest]) -> ScanTiming:
+    @property
+    def converter(self) -> KeyConverter:
+        """The coordinate <-> key converter of this shard's map."""
+        return self.core.converter
+
+    def apply_updates(self, requests: Sequence[VoxelUpdateRequest]) -> ShardApplyResult:
         """Apply an ordered update stream and invalidate this shard's cache."""
-        timing = self.accelerator.apply_update_batch(requests)
-        if requests:
-            self.generation += 1
-            self.batches_applied += 1
-            self.updates_applied += len(requests)
-        return timing
+        return self.apply_message(ShardUpdateBatch.from_updates(self.shard_id, requests))
 
     def query(self, x: float, y: float, z: float) -> QueryResult:
-        """Occupancy query served by this shard's accelerator."""
-        return self.accelerator.query(x, y, z)
+        """Occupancy of the voxel containing a metric point (``unknown`` outside the volume)."""
+        converter = self.converter
+        if not converter.is_coordinate_in_range(x, y, z):
+            return QueryResult("unknown", None, 0, self.core.query_cycles)
+        return self.query_key(converter.coord_to_key(x, y, z))
 
     def query_key(self, key: OcTreeKey) -> QueryResult:
-        """Occupancy query by voxel key (centre-of-voxel metric lookup)."""
-        return self.accelerator.query(*self.accelerator.address_generator.converter.key_to_coord(key))
+        """Occupancy query by voxel key."""
+        return self.core.query_key(key)
 
     def export_octree(self) -> OccupancyOcTree:
         """This shard's region of the map as a software octree."""
-        return self.accelerator.export_octree()
-
-    def busy_cycles(self) -> int:
-        """Total modelled busy cycles of this shard's accelerator."""
-        return self.accelerator.map_critical_path_cycles()
+        return self.core.export_octree()
 
     # ------------------------------------------------------------------
     # Message-level API (shared by every execution backend)
@@ -183,12 +187,15 @@ class MapShardWorker:
             raise ValueError(
                 f"batch for shard {batch.shard_id} delivered to shard {self.shard_id}"
             )
-        updates = batch.to_updates()
-        timing = self.apply_updates(updates)
+        cycles = self.core.apply_entries(batch.entries)
+        if batch.entries:
+            self.generation += 1
+            self.batches_applied += 1
+            self.updates_applied += len(batch.entries)
         return ShardApplyResult(
             shard_id=self.shard_id,
-            updates_applied=len(updates),
-            critical_path_cycles=timing.critical_path_cycles() if updates else 0,
+            updates_applied=len(batch.entries),
+            critical_path_cycles=cycles,
             generation=self.generation,
         )
 
@@ -234,16 +241,17 @@ class MapShardWorker:
     def from_snapshot(cls, snapshot: ShardSnapshot, config: OMUConfig) -> "MapShardWorker":
         """Rehydrate a shard worker from a snapshot (on any host).
 
-        The new worker's accelerator is rebuilt leaf-for-leaf from the
-        snapshot payload and the externally visible counters (generation
-        first among them) resume from the snapshotted values, so replaying
-        the un-snapshotted flush tail lands the shard exactly where the
-        dead worker's acknowledged state was.
+        The new worker's core is rebuilt leaf-for-leaf from the snapshot
+        payload (pruned regions expanded back to finest leaves) and the
+        externally visible counters (generation first among them) resume
+        from the snapshotted values, so replaying the un-snapshotted flush
+        tail lands the shard exactly where the dead worker's acknowledged
+        state was.
         """
         from repro.octomap.serialization import deserialize_tree
 
         worker = cls(snapshot.shard_id, config)
-        worker.accelerator.load_octree(deserialize_tree(snapshot.payload))
+        worker.core.load_octree(deserialize_tree(snapshot.payload))
         worker.generation = snapshot.generation
         worker.batches_applied = snapshot.batches_applied
         worker.updates_applied = snapshot.updates_applied

@@ -10,9 +10,7 @@ a session and its shard execution backend
 (:mod:`repro.serving.backends`).  They are deliberately flat -- ints, floats,
 strings and tuples of them -- so every message pickles cheaply across a
 process boundary; voxel updates travel as packed ``(x, y, z, occupied)``
-tuples and are rebuilt into :class:`~repro.core.scheduler.VoxelUpdateRequest`
-objects on the worker side, keeping object construction inside the parallel
-section.
+tuples, which the worker turns into arrays with one ``np.array`` call.
 """
 
 from __future__ import annotations
@@ -21,8 +19,9 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.scheduler import VoxelUpdateRequest
-from repro.octomap.keys import OcTreeKey
 from repro.octomap.pointcloud import PointCloud, ScanNode
 
 __all__ = [
@@ -71,6 +70,14 @@ class ScanRequest:
     deadline_s: float = math.inf
     client_id: str = ""
     request_id: int = -1
+
+    def __post_init__(self) -> None:
+        # A NaN or infinite coordinate has no voxel: refuse it here, at
+        # admission, rather than inside a background flush.
+        if not np.isfinite(self.cloud.points).all():
+            raise ValueError("scan points must be finite (no NaN or infinity)")
+        if not all(math.isfinite(value) for value in self.origin):
+            raise ValueError(f"scan origin must be finite, got {tuple(self.origin)!r}")
 
     @classmethod
     def from_scan_node(
@@ -123,8 +130,10 @@ class BatchReport:
         voxel_updates: updates actually dispatched after de-duplication.
         duplicates_removed: visits removed by the overlapping-ray de-dup.
         shard_updates: updates dispatched to each shard (index = shard id).
-        modelled_cycles: critical-path cycles of the batch (slowest shard;
-            the shard workers run in parallel).
+        modelled_cycles: nominal critical-path cycles of the batch
+            (slowest shard; the shard workers run in parallel).  See
+            :mod:`repro.serving.array_core` for the nominal cost; exact
+            cycle accounting lives only on ``OMUAccelerator``.
         wall_seconds: host-side wall-clock time spent processing the batch
             (front end + dispatch + drain wait; for a pipelined batch the
             drain wait is whatever remained of the apply after the next
@@ -177,7 +186,7 @@ class QueryResponse:
         probability: occupancy probability, or ``None`` when unknown.
         shard_id: shard that owns (or would own) the voxel.
         cached: True when the answer came from the query cache.
-        cycles: modelled service cycles (0 for a cache hit).
+        cycles: nominal service cycles (0 for a cache hit).
     """
 
     status: str
@@ -267,8 +276,7 @@ class ShardUpdateBatch:
         entries: packed updates ``(key_x, key_y, key_z, occupied)`` in
             dispatch order.  The packed form pickles an order of magnitude
             cheaper than the :class:`~repro.core.scheduler.VoxelUpdateRequest`
-            objects it encodes, and rebuilding those objects happens on the
-            worker -- inside the parallel section for pool backends.
+            objects it encodes.
     """
 
     shard_id: int
@@ -297,17 +305,7 @@ class ShardUpdateBatch:
         """
         return cls(
             shard_id=shard_id,
-            entries=tuple(
-                (key[0], key[1], key[2], flag)
-                for key, flag in zip(keys.tolist(), occupied.tolist())
-            ),
-        )
-
-    def to_updates(self) -> Tuple[VoxelUpdateRequest, ...]:
-        """Rebuild the ordered update stream on the worker side."""
-        return tuple(
-            VoxelUpdateRequest(OcTreeKey(x, y, z), occupied)
-            for x, y, z, occupied in self.entries
+            entries=tuple(zip(*keys.T.tolist(), occupied.tolist())),
         )
 
     def __len__(self) -> int:
@@ -343,8 +341,8 @@ class ShardApplyResult:
     Attributes:
         shard_id: shard that applied the batch.
         updates_applied: updates in the batch (echoed back for accounting).
-        critical_path_cycles: modelled cycles of this batch on this shard's
-            accelerator (0 for an empty batch).
+        critical_path_cycles: nominal cycles of this batch on this shard
+            (0 for an empty batch; see :mod:`repro.serving.array_core`).
         generation: the shard's write generation *after* the apply; the
             parent-side cache bookkeeping adopts this value, which keeps
             generation-stamped invalidation correct across process
@@ -367,7 +365,7 @@ class ShardQueryRequest:
 
 @dataclass(frozen=True)
 class ShardQueryResult:
-    """A shard worker's answer to one voxel-key lookup."""
+    """A shard worker's answer to one voxel-key lookup (``cycles`` is nominal)."""
 
     shard_id: int
     status: str

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import asyncio
 import functools
+import math
 import multiprocessing
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -390,6 +392,33 @@ async def test_flusher_failure_fail_stops_the_session():
             await service.flush("map")
         with pytest.raises(RuntimeError, match="fail-stopped"):
             await service.submit(_requests(1)[0])
+
+
+@async_test
+async def test_non_finite_scan_is_refused_and_the_session_keeps_serving():
+    """A NaN scan is refused at the door; the good scan submitted beside it
+    is applied and the session is not fail-stopped."""
+    async with AsyncMapService(
+        default_config=SessionConfig(num_shards=2, batch_size=2)
+    ) as service:
+        good = _requests(1)[0]
+        points = good.cloud.points.copy()
+        points[3, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            await service.submit(
+                ScanRequest(session_id="map", cloud=PointCloud(points), origin=good.origin)
+            )
+        with pytest.raises(ValueError, match="finite"):
+            await service.submit(replace(good, origin=(0.0, math.inf, 0.2)))
+        receipt = await service.submit(good)
+        await service.flush("map")
+        _assert_session_matches_dispatch_order(
+            service, "map", [good.with_request_id(receipt.request_id)]
+        )
+        response = await service.query("map", *good.cloud.points[0])
+        assert response.status in ("occupied", "free", "unknown")
+        await service.submit(_requests(1, seed=8)[0])
+        await service.flush("map")
 
 
 # ---------------------------------------------------------------------------

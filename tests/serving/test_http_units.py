@@ -354,6 +354,20 @@ def test_json_body_rejects_junk_and_non_objects():
     assert excinfo.value.code == "bad_json"
 
 
+def test_json_refuses_non_finite_constants():
+    for token in (b"NaN", b"Infinity", b"-Infinity"):
+        with pytest.raises(HttpError) as excinfo:
+            _request(b'{"origin": [0, 0, ' + token + b"]}").json()
+        assert (excinfo.value.status, excinfo.value.code) == (400, "bad_json"), token
+
+
+def test_scan_request_with_an_overflowing_coordinate_is_refused():
+    # 1e400 is valid JSON that parses to infinity; the request itself refuses it.
+    payload = json.loads('{"points": [[1e400, 0.0, 0.0]], "origin": [0, 0, 0]}')
+    with pytest.raises(ValueError, match="finite"):
+        scan_request_from_payload("map", payload)
+
+
 def test_require_field_and_point3_map_to_400():
     with pytest.raises(HttpError) as excinfo:
         require_field({}, "points")

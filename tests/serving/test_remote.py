@@ -406,7 +406,7 @@ class TestSnapshotRestore:
         batch = _batch(0, n=12)
         worker.apply_message(batch)
         clone = MapShardWorker.from_snapshot(worker.snapshot_message(), CONFIG)
-        converter = worker.accelerator.address_generator.converter
+        converter = worker.converter
         from repro.octomap import OcTreeKey
 
         for key_x, key_y, key_z, _occupied in batch.entries:
