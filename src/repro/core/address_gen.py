@@ -22,6 +22,15 @@ from repro.octomap.keys import KeyConverter, OcTreeKey
 
 __all__ = ["AddressGenerator"]
 
+# Bit moves that gather one level's child index out of a packed key code.
+_X_TO_BIT0 = np.uint64(32)
+_Y_TO_BIT1 = np.uint64(15)
+_Z_TO_BIT2 = np.uint64(2)
+_BIT0 = np.uint64(1)
+_BIT1 = np.uint64(2)
+_BIT2 = np.uint64(4)
+_CHILD_BITS = np.uint64(3)
+
 
 class AddressGenerator:
     """Derives PE routing and per-level child indices from voxel keys."""
@@ -95,13 +104,15 @@ class AddressGenerator:
             subtree = subtree * 8 + child_index
         return subtree % num_shards
 
-    def shard_indices(self, keys: np.ndarray, num_shards: int, prefix_levels: int = 1) -> np.ndarray:
-        """Array counterpart of :meth:`shard_index` for ``(N, 3)`` key components.
+    def shard_indices(self, codes: np.ndarray, num_shards: int, prefix_levels: int = 1) -> np.ndarray:
+        """Array counterpart of :meth:`shard_index` for ``(N,)`` packed key codes.
 
-        Folds the first ``prefix_levels`` child indices of every key into a
-        subtree number and reduces modulo the shard count -- the same
-        arithmetic as the scalar path, so ``shard_indices(keys)[i] ==
-        shard_index(OcTreeKey(*keys[i]))`` for every row.
+        ``codes`` use the :func:`~repro.octomap.raycast_vec.pack_key_array`
+        layout (x in bits 32-47, y in 16-31, z in 0-15).  The child indices
+        are read straight off the code bits and folded exactly like the
+        scalar path, so ``shard_indices(codes)[i] ==
+        shard_index(OcTreeKey(*unpack(codes[i])))`` for every code.  Returns
+        int64 shard ids.
         """
         if num_shards < 1:
             raise ValueError("num_shards must be at least 1")
@@ -109,19 +120,23 @@ class AddressGenerator:
             raise ValueError(
                 f"prefix_levels must be in [1, {self._tree_depth}], got {prefix_levels}"
             )
-        keys = np.asarray(keys, dtype=np.int64)
-        subtree = np.zeros(keys.shape[0], dtype=np.int64)
+        codes = np.asarray(codes)
+        if codes.dtype != np.uint64:
+            codes = codes.astype(np.uint64)
+        # Every constant is np.uint64: mixing uint64 with a signed integer
+        # promotes to float64 under numpy 1.x rules.
+        subtree = np.zeros(codes.shape, dtype=np.uint64)
         for level in range(prefix_levels):
-            bit = self._tree_depth - 1 - level
+            lane = codes >> np.uint64(self._tree_depth - 1 - level)
+            # x bit 32 -> child bit 0, y bit 16 -> child bit 1, z bit 0 -> child bit 2.
             child = (
-                ((keys[:, 0] >> bit) & 1)
-                | (((keys[:, 1] >> bit) & 1) << 1)
-                | (((keys[:, 2] >> bit) & 1) << 2)
+                ((lane >> _X_TO_BIT0) & _BIT0)
+                | ((lane >> _Y_TO_BIT1) & _BIT1)
+                | ((lane << _Z_TO_BIT2) & _BIT2)
             )
-            # 8**16 == 2**48 fits comfortably in int64, so no overflow even
-            # at the full 16-level prefix.
-            subtree = subtree * 8 + child
-        return subtree % num_shards
+            # 8**16 == 2**48, so the subtree number fits at any prefix depth.
+            subtree = (subtree << _CHILD_BITS) | child
+        return (subtree % np.uint64(num_shards)).astype(np.int64)
 
     def child_path(self, key: OcTreeKey) -> Tuple[int, ...]:
         """Child indices from below the root down to the leaf.

@@ -183,6 +183,7 @@ from repro.serving.types import (
     BboxChunk,
     BoxOccupancySummary,
     IngestReceipt,
+    InvalidScanError,
     QueryResponse,
     RaycastResponse,
     ScanRequest,
@@ -212,6 +213,7 @@ __all__ = [
     "GenerationLRUCache",
     "HttpMapServer",
     "IngestReceipt",
+    "InvalidScanError",
     "IngestScheduler",
     "IngestionPipeline",
     "InlineBackend",

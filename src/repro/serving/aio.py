@@ -92,6 +92,7 @@ from repro.serving.types import (
     BboxChunk,
     BoxOccupancySummary,
     IngestReceipt,
+    InvalidScanError,
     QueryResponse,
     RaycastResponse,
     ScanRequest,
@@ -491,9 +492,13 @@ class AsyncMapService:
         counter.  The returned receipt's ``queue_depth`` is the queue depth
         observed right after admission.
 
-        Two QoS gates run *before* queueing, so refused work never costs
+        Three gates run *before* queueing, so refused work never costs
         backend time:
 
+        * a scan the session's map cannot integrate (sensor origin outside
+          the addressable volume) raises
+          :class:`~repro.serving.types.InvalidScanError` (metrics outcome
+          ``rejected``), so it cannot fail-stop the session in a flush;
         * a session whose config sets ``quota_points_per_s`` charges
           ``len(request.cloud)`` points against its tenant's token bucket;
           an exhausted bucket raises
@@ -511,6 +516,18 @@ class AsyncMapService:
         config = entry.session.config
         timer = self._timer()
         num_points = len(request.cloud)
+        try:
+            entry.session.check_scan(request)
+        except InvalidScanError:
+            self._record(
+                entry,
+                "submit",
+                OUTCOME_REJECTED,
+                timer,
+                num_bytes=num_points,
+                queue_depth=entry.queue.qsize(),
+            )
+            raise
         if config.quota_points_per_s > 0.0:
             try:
                 self.quotas.charge(

@@ -33,7 +33,7 @@ memory model and the paper's tables live only on ``OMUAccelerator``.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -88,6 +88,10 @@ class ArrayCore:
         self._params = config.quantized_params()
         self._update_cycles = steady_update_cycles(config.timing, config.tree_depth)
         self.query_cycles = steady_query_cycles(config.timing, config.tree_depth)
+        field = (1 << config.tree_depth) - 1
+        #: Bits no valid code may set: bits 48-63 and, inside each 16-bit
+        #: field, the bits at or above ``tree_depth``.
+        self._invalid_bits = np.uint64(~((field << 32) | (field << 16) | field) & (2**64 - 1))
         self._codes = np.empty(0, dtype=np.uint64)
         self._values = np.empty(0, dtype=np.int16)
 
@@ -110,32 +114,35 @@ class ArrayCore:
     # ------------------------------------------------------------------
     # Apply
     # ------------------------------------------------------------------
-    def apply_entries(self, entries: Sequence[Tuple[int, int, int, bool]]) -> int:
-        """Apply ``(key_x, key_y, key_z, occupied)`` updates in stream order.
+    def apply(self, codes: np.ndarray, occupied: np.ndarray) -> int:
+        """Apply packed-code updates in stream order.
 
-        Every key is checked against ``[0, 2**tree_depth)`` before anything
-        changes, so a bad batch raises :class:`ValueError` and leaves the map
-        untouched.  Returns the batch's nominal critical-path cycles (0 for
-        an empty batch).
+        Args:
+            codes: ``(N,)`` uint64 packed keys
+                (:func:`~repro.octomap.raycast_vec.pack_key_array` layout).
+            occupied: ``(N,)`` bool hit/miss flags aligned with ``codes``.
+
+        Dtypes and alignment are :class:`~repro.serving.types.ShardUpdateBatch`'s
+        to enforce; the key space is this core's.  Every code is checked
+        before anything changes -- no bit at or above 48, every component in
+        ``[0, 2**tree_depth)`` -- so a bad batch raises :class:`ValueError`
+        and leaves the map untouched.  Returns the batch's nominal
+        critical-path cycles (0 for an empty batch).
         """
-        if len(entries) == 0:
+        if codes.size == 0:
             return 0
-        array = np.array(entries, dtype=np.int64)
-        if array.ndim != 2 or array.shape[1] != 4:
-            raise ValueError(f"update entries must have shape (N, 4), got {array.shape}")
-        keys = array[:, :3]
-        limit = 1 << self.config.tree_depth
-        bad = (keys < 0) | (keys >= limit)
+        bad = (codes & self._invalid_bits) != 0
         if bad.any():
-            row = keys[bad.any(axis=1)][0]
+            code = int(codes[np.argmax(bad)])
+            key = ((code >> 32) & 0xFFFF, (code >> 16) & 0xFFFF, code & 0xFFFF)
             raise ValueError(
-                f"update key {tuple(row.tolist())} outside the key space [0, {limit})"
+                f"update code {code:#x} (key {key}) outside the key space: components "
+                f"must lie in [0, {1 << self.config.tree_depth}) and bits 48-63 be clear"
             )
-        deltas = np.where(array[:, 3] != 0, self._params.raw_hit, self._params.raw_miss)
+        deltas = np.where(occupied, self._params.raw_hit, self._params.raw_miss)
 
-        packed = pack_key_array(keys)
-        batch_order = np.argsort(packed, kind="stable")
-        sorted_codes = packed[batch_order]
+        batch_order = np.argsort(codes, kind="stable")
+        sorted_codes = codes[batch_order]
         deltas = deltas[batch_order]
         count = sorted_codes.size
         starts = np.flatnonzero(np.r_[True, sorted_codes[1:] != sorted_codes[:-1]])
@@ -145,15 +152,15 @@ class ArrayCore:
         rank = np.arange(count) - np.repeat(starts, multiplicity)
         group = np.repeat(np.arange(starts.size), multiplicity)
 
-        codes, values = self._codes, self._values
-        slots = np.searchsorted(codes, batch_codes)
-        known = slots < codes.size
-        known[known] = codes[slots[known]] == batch_codes[known]
+        leaves, values = self._codes, self._values
+        slots = np.searchsorted(leaves, batch_codes)
+        known = slots < leaves.size
+        known[known] = leaves[slots[known]] == batch_codes[known]
         if not known.all():
             # ``slots`` already holds each fresh key's insertion point.
-            codes = np.insert(codes, slots[~known], batch_codes[~known])
+            leaves = np.insert(leaves, slots[~known], batch_codes[~known])
             values = np.insert(values, slots[~known], 0)
-            slots = np.searchsorted(codes, batch_codes)
+            slots = np.searchsorted(leaves, batch_codes)
 
         current = values[slots].astype(np.int32)
         by_round = np.argsort(rank, kind="stable")
@@ -165,11 +172,11 @@ class ArrayCore:
                 self._params.raw_clamp_max,
             )
         values[slots] = current
-        self._codes, self._values = codes, values
+        self._codes, self._values = leaves, values
 
         # A key's PE is its first-level branch modulo the PE count: the
         # one-level shard fold over ``num_pes`` "shards".
-        pes = self._address_generator.shard_indices(keys, self.config.num_pes, 1)
+        pes = self._address_generator.shard_indices(codes, self.config.num_pes, 1)
         busiest = int(np.bincount(pes).max())
         return count * self.config.timing.scheduler_issue_cycles + busiest * self._update_cycles
 

@@ -57,7 +57,7 @@ import numpy as np
 
 from repro.core.scheduler import VoxelUpdateRequest
 from repro.octomap.counters import OperationCounters
-from repro.octomap.raycast_vec import compute_batch_update_arrays, unpack_key_array
+from repro.octomap.raycast_vec import compute_batch_update_arrays
 from repro.octomap.scan_insertion import compute_update_keys_for_converter
 from repro.serving.backends import ShardBackend
 from repro.serving.schedulers import IngestScheduler
@@ -315,20 +315,21 @@ class IngestionPipeline:
             shard_updates = tuple(len(shard_stream) for shard_stream in per_shard)
         else:
             if segments:
-                keys = unpack_key_array(np.concatenate(segments))
+                codes = np.concatenate(segments)
                 flags = np.concatenate(segment_flags)
             else:
-                keys = np.empty((0, 3), dtype=np.int64)
+                codes = np.empty(0, dtype=np.uint64)
                 flags = np.empty(0, dtype=bool)
-            per_shard_arrays = self.router.partition_key_arrays(keys, flags)
+            # The packed codes go to the shards as they are: no unpacking,
+            # no per-update Python objects.
             batches = [
-                ShardUpdateBatch.from_key_arrays(shard_id, shard_keys, shard_flags)
-                for shard_id, (shard_keys, shard_flags) in enumerate(per_shard_arrays)
+                ShardUpdateBatch.from_key_arrays(shard_id, shard_codes, shard_flags)
+                for shard_id, (shard_codes, shard_flags) in enumerate(
+                    self.router.partition_key_arrays(codes, flags)
+                )
             ]
-            voxel_updates = int(keys.shape[0])
-            shard_updates = tuple(
-                int(shard_keys.shape[0]) for shard_keys, _ in per_shard_arrays
-            )
+            voxel_updates = int(codes.size)
+            shard_updates = tuple(len(batch) for batch in batches)
         return _PreparedBatch(
             request_ids=request_ids,
             scans=scans,

@@ -27,7 +27,7 @@ from repro.serving.query_engine import QueryEngine
 from repro.serving.schedulers import make_scheduler
 from repro.serving.sharding import MapShardWorker, ShardRouter
 from repro.serving.stats import SessionStats
-from repro.serving.types import BatchReport, IngestReceipt, ScanRequest
+from repro.serving.types import BatchReport, IngestReceipt, InvalidScanError, ScanRequest
 
 __all__ = ["SessionConfig", "MapSession"]
 
@@ -324,6 +324,21 @@ class MapSession:
     # ------------------------------------------------------------------
     # Write path
     # ------------------------------------------------------------------
+    def check_scan(self, request: ScanRequest) -> None:
+        """Refuse a scan this session's map cannot integrate.
+
+        Raises:
+            InvalidScanError: the sensor origin lies outside the addressable
+                volume.  Such a scan has no origin voxel; admitted, it would
+                raise inside a later flush and take the batch down with it.
+        """
+        converter = self.router.converter
+        if not converter.is_coordinate_in_range(*request.origin):
+            raise InvalidScanError(
+                f"scan origin {tuple(request.origin)!r} lies outside the mappable "
+                f"volume (+/- {converter.max_coordinate} m)"
+            )
+
     def submit(self, request: ScanRequest) -> IngestReceipt:
         """Admit a scan request (dispatch happens on the next flush)."""
         if request.session_id != self.session_id:
@@ -331,6 +346,7 @@ class MapSession:
                 f"request for session {request.session_id!r} submitted to "
                 f"session {self.session_id!r}"
             )
+        self.check_scan(request)
         if request.max_range < 0.0 and self.config.default_max_range > 0.0:
             request = replace(request, max_range=self.config.default_max_range)
         return self.pipeline.submit(request)

@@ -104,32 +104,29 @@ class ShardRouter:
             per_shard[self.shard_for_key(request.key)].append(request)
         return per_shard
 
-    def shard_indices_for_keys(self, keys: np.ndarray) -> np.ndarray:
-        """Shard ids for an ``(N, 3)`` key-component array (vectorized)."""
-        return self._address_generator.shard_indices(
-            keys, self.num_shards, self.prefix_levels
-        )
-
     def partition_key_arrays(
-        self, keys: np.ndarray, occupied: np.ndarray
+        self, codes: np.ndarray, occupied: np.ndarray
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
         """Array counterpart of :meth:`partition` for the vectorized front end.
 
         Args:
-            keys: ``(N, 3)`` key components of the ordered update stream.
-            occupied: ``(N,)`` bool flags aligned with ``keys``.
+            codes: ``(N,)`` uint64 packed keys of the ordered update stream
+                (:func:`~repro.octomap.raycast_vec.pack_key_array` layout).
+            occupied: ``(N,)`` bool flags aligned with ``codes``.
 
         Returns:
-            One ``(keys, occupied)`` pair per shard.  Boolean masking keeps
+            One ``(codes, occupied)`` pair per shard.  Boolean masking keeps
             stream order inside each shard, so the slices are element-for-
             element identical to what :meth:`partition` produces from the
             same stream.
         """
-        shard_ids = self.shard_indices_for_keys(keys)
+        shard_ids = self._address_generator.shard_indices(
+            codes, self.num_shards, self.prefix_levels
+        )
         per_shard: List[Tuple[np.ndarray, np.ndarray]] = []
         for shard in range(self.num_shards):
             mask = shard_ids == shard
-            per_shard.append((keys[mask], occupied[mask]))
+            per_shard.append((codes[mask], occupied[mask]))
         return per_shard
 
 
@@ -187,14 +184,15 @@ class MapShardWorker:
             raise ValueError(
                 f"batch for shard {batch.shard_id} delivered to shard {self.shard_id}"
             )
-        cycles = self.core.apply_entries(batch.entries)
-        if batch.entries:
+        cycles = self.core.apply(batch.codes, batch.occupied)
+        count = len(batch)
+        if count:
             self.generation += 1
             self.batches_applied += 1
-            self.updates_applied += len(batch.entries)
+            self.updates_applied += count
         return ShardApplyResult(
             shard_id=self.shard_id,
-            updates_applied=len(batch.entries),
+            updates_applied=count,
             critical_path_cycles=cycles,
             generation=self.generation,
         )

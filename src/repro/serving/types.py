@@ -8,9 +8,13 @@ wire format of a future RPC front end is already pinned down.
 The ``Shard*`` messages at the bottom are the *internal* wire format between
 a session and its shard execution backend
 (:mod:`repro.serving.backends`).  They are deliberately flat -- ints, floats,
-strings and tuples of them -- so every message pickles cheaply across a
-process boundary; voxel updates travel as packed ``(x, y, z, occupied)``
-tuples, which the worker turns into arrays with one ``np.array`` call.
+strings, tuples and flat numpy buffers -- so every message pickles cheaply
+across a process boundary.  Voxel updates travel as two aligned buffers, the
+``uint64`` packed key codes of
+:func:`~repro.octomap.raycast_vec.pack_key_array` and ``bool`` occupied
+flags: the ray-casting front end emits them, the router splits them and the
+shard's array core applies them, with no per-update Python object anywhere
+between.
 """
 
 from __future__ import annotations
@@ -23,8 +27,10 @@ import numpy as np
 
 from repro.core.scheduler import VoxelUpdateRequest
 from repro.octomap.pointcloud import PointCloud, ScanNode
+from repro.octomap.raycast_vec import pack_key_array, unpack_key_array
 
 __all__ = [
+    "InvalidScanError",
     "ScanRequest",
     "IngestReceipt",
     "ApplyTicket",
@@ -40,6 +46,16 @@ __all__ = [
     "ShardExportResult",
     "ShardSnapshot",
 ]
+
+
+class InvalidScanError(ValueError):
+    """A scan refused at admission because no map could integrate it.
+
+    Raised before the scan is queued (non-finite coordinates, a sensor
+    origin outside the addressable volume), so a bad scan never reaches a
+    flush, never fail-stops its session and never costs the good scans
+    batched with it.  The HTTP front end answers it with 400 ``bad_value``.
+    """
 
 
 @dataclass(frozen=True)
@@ -75,9 +91,9 @@ class ScanRequest:
         # A NaN or infinite coordinate has no voxel: refuse it here, at
         # admission, rather than inside a background flush.
         if not np.isfinite(self.cloud.points).all():
-            raise ValueError("scan points must be finite (no NaN or infinity)")
+            raise InvalidScanError("scan points must be finite (no NaN or infinity)")
         if not all(math.isfinite(value) for value in self.origin):
-            raise ValueError(f"scan origin must be finite, got {tuple(self.origin)!r}")
+            raise InvalidScanError(f"scan origin must be finite, got {tuple(self.origin)!r}")
 
     @classmethod
     def from_scan_node(
@@ -267,49 +283,108 @@ class RaycastResponse:
 # ---------------------------------------------------------------------------
 # Shard backend wire messages (session <-> shard execution backend)
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
+#: Largest key component a packed code can carry (16-bit fields).
+_KEY_COMPONENT_LIMIT = 1 << 16
+
+
+def as_array(values, dtype) -> np.ndarray:
+    """``values`` as an ndarray of ``dtype``, copying only to convert.
+
+    ``np.asarray(values, dtype=...)`` copies an unpickled array whose dtype
+    is equal to, but not the same object as, the requested one; this is
+    what a batch crossing a process pipe would pay on every hop.
+    """
+    array = np.asarray(values)
+    return array if array.dtype == dtype else array.astype(dtype)
+
+
+@dataclass(frozen=True, eq=False)
 class ShardUpdateBatch:
     """One shard's slice of a flushed ingestion batch.
 
     Attributes:
         shard_id: shard the slice is addressed to.
-        entries: packed updates ``(key_x, key_y, key_z, occupied)`` in
-            dispatch order.  The packed form pickles an order of magnitude
-            cheaper than the :class:`~repro.core.scheduler.VoxelUpdateRequest`
-            objects it encodes.
+        codes: ``uint64 (N,)`` packed voxel keys
+            (:func:`~repro.octomap.raycast_vec.pack_key_array` layout: x in
+            bits 32-47, y in 16-31, z in 0-15), in dispatch order.
+        occupied: ``bool (N,)`` hit/miss flags aligned with ``codes``.
+
+    Both buffers pickle as raw bytes: about 9 bytes per update plus a
+    fixed header per array.  The receiving core range-checks the codes
+    before it changes anything.
     """
 
     shard_id: int
-    entries: Tuple[Tuple[int, int, int, bool], ...]
+    codes: np.ndarray = ()  # an empty slice by default
+    occupied: np.ndarray = ()
+
+    def __post_init__(self) -> None:
+        codes = as_array(self.codes, np.uint64)
+        occupied = as_array(self.occupied, np.bool_)
+        if codes.ndim != 1 or occupied.shape != codes.shape:
+            raise ValueError(
+                f"codes and occupied must be aligned (N,) arrays, got shapes "
+                f"{codes.shape} and {occupied.shape}"
+            )
+        object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "occupied", occupied)
 
     @classmethod
     def from_updates(
         cls, shard_id: int, updates: Sequence[VoxelUpdateRequest]
     ) -> "ShardUpdateBatch":
-        """Pack an ordered update stream for the wire."""
-        return cls(
-            shard_id=shard_id,
-            entries=tuple(
-                (update.key.x, update.key.y, update.key.z, update.occupied)
-                for update in updates
-            ),
-        )
+        """Pack an ordered :class:`VoxelUpdateRequest` stream for the wire."""
+        keys = np.array(
+            [(update.key.x, update.key.y, update.key.z) for update in updates], dtype=np.int64
+        ).reshape(-1, 3)
+        occupied = np.array([update.occupied for update in updates], dtype=bool)
+        return cls.from_key_arrays(shard_id, keys, occupied)
 
     @classmethod
     def from_key_arrays(cls, shard_id: int, keys, occupied) -> "ShardUpdateBatch":
-        """Pack an ``(N, 3)`` key array plus ``(N,)`` occupied flags for the wire.
+        """Build a batch from key arrays plus ``(N,)`` occupied flags.
 
-        ``tolist()`` converts the numpy scalars to plain ints/bools, so the
-        resulting entries are byte-identical (and pickle-identical) to what
-        :meth:`from_updates` builds from the equivalent request stream.
+        ``keys`` is either ``(N,)`` packed codes, taken as they are, or an
+        ``(N, 3)`` array of key components, which is packed here.  A
+        component outside ``[0, 2**16)`` raises :class:`ValueError` before
+        packing, since it would otherwise bleed into the neighbouring field.
         """
-        return cls(
-            shard_id=shard_id,
-            entries=tuple(zip(*keys.T.tolist(), occupied.tolist())),
-        )
+        keys = np.asarray(keys)
+        if keys.ndim == 2:
+            if keys.shape[1] != 3:
+                raise ValueError(f"key components must have shape (N, 3), got {keys.shape}")
+            bad = (keys < 0) | (keys >= _KEY_COMPONENT_LIMIT)
+            if bad.any():
+                row = keys[bad.any(axis=1)][0]
+                raise ValueError(
+                    f"key {tuple(row.tolist())} outside the packable range "
+                    f"[0, {_KEY_COMPONENT_LIMIT})"
+                )
+            keys = pack_key_array(keys)
+        return cls(shard_id, keys, occupied)
+
+    @property
+    def entries(self) -> Tuple[Tuple[int, int, int, bool], ...]:
+        """The updates as ``(key_x, key_y, key_z, occupied)`` tuples.
+
+        A derived, read-only view for diagnostics and tests; the serving
+        path never builds it.
+        """
+        return tuple(zip(*unpack_key_array(self.codes).T.tolist(), self.occupied.tolist()))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return int(self.codes.size)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ShardUpdateBatch):
+            return NotImplemented
+        return (
+            self.shard_id == other.shard_id
+            and np.array_equal(self.codes, other.codes)
+            and np.array_equal(self.occupied, other.occupied)
+        )
+
+    __hash__ = None  # mutable-array payload: compared by value, never hashed
 
 
 @dataclass(frozen=True)

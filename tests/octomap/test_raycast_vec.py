@@ -117,8 +117,8 @@ class TestShardIndicesArray:
         generator = AddressGenerator(0.2, 16, 8)
         rng = np.random.default_rng(5)
         keys = rng.integers(0, 0x10000, size=(300, 3), dtype=np.int64)
-        for num_shards, prefix_levels in [(2, 1), (4, 3), (12, 12), (7, 16)]:
-            vector = generator.shard_indices(keys, num_shards, prefix_levels)
+        for num_shards, prefix_levels in [(2, 1), (4, 3), (12, 12), (7, 16), (1, 5), (8, 12), (64, 16)]:
+            vector = generator.shard_indices(pack_key_array(keys), num_shards, prefix_levels)
             scalar = [
                 generator.shard_index(OcTreeKey(x, y, z), num_shards, prefix_levels)
                 for x, y, z in keys.tolist()

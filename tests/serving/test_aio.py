@@ -24,6 +24,7 @@ from repro.octomap import OccupancyOcTree, PointCloud
 from repro.serving import (
     AdmissionQueueFull,
     AsyncMapService,
+    InvalidScanError,
     MapSessionManager,
     ScanRequest,
     SessionConfig,
@@ -419,6 +420,33 @@ async def test_non_finite_scan_is_refused_and_the_session_keeps_serving():
         assert response.status in ("occupied", "free", "unknown")
         await service.submit(_requests(1, seed=8)[0])
         await service.flush("map")
+
+
+@async_test
+async def test_out_of_volume_origin_is_refused_and_the_session_keeps_serving():
+    """An origin outside the addressable volume, with in-volume points, once
+    passed admission and raised inside the next flush: the session
+    fail-stopped for good and the good scan batched with it was lost."""
+    async with AsyncMapService(
+        default_config=SessionConfig(num_shards=2, batch_size=2)
+    ) as service:
+        good = _requests(1)[0]
+        with pytest.raises(InvalidScanError, match="outside the mappable volume"):
+            await service.submit(replace(good, origin=(1e6, 0.0, 0.0)))
+        receipt = await service.submit(good)
+        await service.flush("map")
+        _assert_session_matches_dispatch_order(
+            service, "map", [good.with_request_id(receipt.request_id)]
+        )
+        # Still serving: reads answer and later scans ingest.
+        response = await service.query("map", *good.cloud.points[0])
+        assert response.status in ("occupied", "free", "unknown")
+        later = _requests(1, seed=8)[0]
+        await service.submit(later)
+        await service.flush("map")
+        assert service.manager.get_session("map").stats.scans_ingested == 2
+        # The refusal is visible to an operator as a rejected submit.
+        assert service.metrics.outcome_counts()["rejected"] == 1
 
 
 # ---------------------------------------------------------------------------

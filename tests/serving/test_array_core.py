@@ -14,7 +14,7 @@ over hypothesis-generated update streams:
   tree depths 8 and 16;
 * a snapshot restored with ``from_snapshot`` plus the replayed tail lands on
   the live shard's exact state;
-* a batch holding an out-of-range key raises and changes nothing;
+* a batch holding an out-of-range code raises and changes nothing;
 * a far beam whose free voxels overflowed the modelled TreeMem ingests.
 
 The ``uint64`` packing and ``searchsorted`` lookups are where numpy versions
@@ -37,6 +37,7 @@ from repro.core.scheduler import VoxelUpdateRequest
 from repro.core.verification import compare_trees
 from repro.octomap import OccupancyOcTree, PointCloud
 from repro.octomap.keys import OcTreeKey
+from repro.octomap.raycast_vec import pack_key_array
 from repro.octomap.serialization import serialize_tree
 from repro.serving import MapSession, ScanRequest, SessionConfig
 from repro.serving.array_core import ArrayCore, steady_update_cycles
@@ -103,6 +104,17 @@ def _batches(entries: List[Entry], splits: List[int]) -> List[List[Entry]]:
     return [entries[start:end] for start, end in zip(bounds, bounds[1:])]
 
 
+def _wire(entries: List[Entry]) -> ShardUpdateBatch:
+    """Shard 0's wire batch for ``(x, y, z, occupied)`` entries."""
+    keys = np.array([entry[:3] for entry in entries], dtype=np.int64).reshape(-1, 3)
+    return ShardUpdateBatch.from_key_arrays(0, keys, [entry[3] for entry in entries])
+
+
+def _apply(core: ArrayCore, entries: List[Entry]) -> int:
+    batch = _wire(entries)
+    return core.apply(batch.codes, batch.occupied)
+
+
 def _modelled(config: OMUConfig, entries: List[Entry]) -> OMUAccelerator:
     accelerator = OMUAccelerator(config)
     accelerator.apply_update_batch(
@@ -134,7 +146,7 @@ def test_exported_tree_matches_the_modelled_pe_array(stream):
     config = _config(tree_depth)
     core = ArrayCore(config)
     for batch in _batches(entries, splits):
-        core.apply_entries(batch)
+        _apply(core, batch)
     expected = _modelled(config, entries).export_octree()
     assert serialize_tree(core.export_octree()) == serialize_tree(expected)
 
@@ -146,7 +158,7 @@ def test_queries_match_the_modelled_pe_array(stream):
     config = _config(tree_depth)
     core = ArrayCore(config)
     for batch in _batches(entries, splits):
-        core.apply_entries(batch)
+        _apply(core, batch)
     accelerator = _modelled(config, entries)
     converter = core.converter
     for key in _probe_keys(tree_depth):
@@ -169,7 +181,7 @@ def test_streams_reach_both_clamp_bounds_and_prune():
     entries = [(*key, True) for _ in range(7) for key in block]
     entries += [(base + 3, base + 3, base + 3, False)] * 9
     core = ArrayCore(config)
-    core.apply_entries(entries)
+    _apply(core, entries)
     params = config.quantized_params()
     _, values = core.leaves()
     assert values.max() == params.raw_clamp_max
@@ -184,10 +196,7 @@ def test_streams_reach_both_clamp_bounds_and_prune():
 def test_snapshot_restore_then_replayed_tail_matches_the_live_shard(stream, cut):
     tree_depth, entries, splits = stream
     config = _config(tree_depth)
-    batches = [
-        ShardUpdateBatch(shard_id=0, entries=tuple(batch))
-        for batch in _batches(entries, splits)
-    ]
+    batches = [_wire(batch) for batch in _batches(entries, splits)]
     cut = min(cut, len(batches))
     live = MapShardWorker(0, config)
     for batch in batches[:cut]:
@@ -210,11 +219,15 @@ def test_out_of_range_key_leaves_the_core_unchanged(tree_depth, bad_component):
     config = _config(tree_depth)
     base = _base(tree_depth)
     core = ArrayCore(config)
-    core.apply_entries([(base, base, base, True), (base + 1, base, base, False)])
+    _apply(core, [(base, base, base, True), (base + 1, base, base, False)])
     before = [array.copy() for array in core.leaves()]
     bad = -1 if bad_component == "negative" else 1 << tree_depth
+    # Packed unchecked, as a corrupt wire batch would carry it: a negative x
+    # sets bits 48-63, and x = 2**tree_depth sets a bit the tree lacks (bit
+    # 48 at depth 16).
+    codes = pack_key_array(np.array([(base + 2, base, base), (bad, base, base)]))
     with pytest.raises(ValueError, match="outside the key space"):
-        core.apply_entries([(base + 2, base, base, True), (base, bad, base, True)])
+        core.apply(codes, np.array([True, True]))
     for got, want in zip(core.leaves(), before):
         np.testing.assert_array_equal(got, want)
 
@@ -224,10 +237,10 @@ def test_nominal_cycles_are_issue_plus_busiest_pe_steady_updates():
     assert steady_update_cycles(config.timing, 16) == 78
     core = ArrayCore(config)
     centre = 1 << 15
-    assert core.apply_entries([]) == 0
+    assert _apply(core, []) == 0
     # Three updates on branch 7's PE, one on branch 0's: the busiest PE has 3.
     entries = [(centre, centre, centre, True)] * 3 + [(0, 0, 0, False)]
-    assert core.apply_entries(entries) == 4 * 1 + 3 * 78
+    assert _apply(core, entries) == 4 * 1 + 3 * 78
 
 
 def test_worker_query_outside_the_volume_is_unknown():

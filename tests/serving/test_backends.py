@@ -41,11 +41,11 @@ def _updates_for(backend, n=16):
         x = -6.0 + 0.05 * index
         key = converter.coord_to_key(x, 0.3, 0.2)
         shard = generator.shard_index(key, backend.num_shards, 12)
-        batches[shard].append((key.x, key.y, key.z, True))
+        batches[shard].append(key.as_tuple())
         index += 1
     return [
-        ShardUpdateBatch(shard_id=shard, entries=tuple(entries))
-        for shard, entries in batches.items()
+        ShardUpdateBatch.from_key_arrays(shard, keys, [True] * len(keys))
+        for shard, keys in batches.items()
     ]
 
 
@@ -90,7 +90,7 @@ def test_backend_round_trip_apply_query_export(name):
 def test_empty_batches_do_not_bump_generations(name):
     with make_backend(name, CONFIG, num_shards=2) as backend:
         results = backend.apply_shard_batches(
-            [ShardUpdateBatch(shard_id=0, entries=()), ShardUpdateBatch(shard_id=1, entries=())]
+            [ShardUpdateBatch(shard_id=0), ShardUpdateBatch(shard_id=1)]
         )
         assert results == []
         assert backend.generation_of(0) == 0
@@ -113,7 +113,7 @@ def test_close_is_idempotent_and_use_after_close_raises(name):
 
 
 def _updates_for_closed():
-    return [ShardUpdateBatch(shard_id=0, entries=((1, 1, 1, True),))]
+    return [ShardUpdateBatch.from_key_arrays(0, [(1, 1, 1)], [True])]
 
 
 def test_process_backend_shutdown_leaves_no_orphans():
@@ -156,7 +156,7 @@ def test_dead_worker_process_surfaces_as_backend_error():
         with pytest.raises(ShardBackendError, match="shard 1 worker process died") as info:
             # Killed worker: the round-trip must error out, not hang.
             backend.apply_shard_batches(
-                [ShardUpdateBatch(shard_id=1, entries=((5, 5, 5, True),))]
+                [ShardUpdateBatch.from_key_arrays(1, [(5, 5, 5)], [True])]
             )
         # The error is structured: it names the shard and worker that died.
         assert info.value.shard_id == 1
@@ -176,7 +176,7 @@ def test_dead_worker_surfaces_even_when_batch_does_not_touch_it():
         backend.processes[0].join(timeout=5.0)
         with pytest.raises(ShardBackendError, match="shard 0 worker process died"):
             backend.apply_shard_batches(
-                [ShardUpdateBatch(shard_id=1, entries=((5, 5, 5, True),))]
+                [ShardUpdateBatch.from_key_arrays(1, [(5, 5, 5)], [True])]
             )
         with pytest.raises(ShardBackendError, match="shard 0 worker process died"):
             backend.query_key(ShardQueryRequest(shard_id=1, key=(5, 5, 5)))
@@ -184,8 +184,8 @@ def test_dead_worker_surfaces_even_when_batch_does_not_touch_it():
         with pytest.raises(ShardBackendError, match="shard 0 worker process died"):
             backend.apply_shard_batches(
                 [
-                    ShardUpdateBatch(shard_id=0, entries=()),
-                    ShardUpdateBatch(shard_id=1, entries=()),
+                    ShardUpdateBatch(shard_id=0),
+                    ShardUpdateBatch(shard_id=1),
                 ]
             )
     finally:
@@ -218,10 +218,10 @@ def test_apply_error_fail_stops_the_backend(name):
     refuse every later interaction rather than serve inconsistent answers."""
     backend = make_backend(name, CONFIG, num_shards=2)
     try:
-        good = ShardUpdateBatch(shard_id=1, entries=((5, 5, 5, True),))
-        # Key component 70000 is outside the 16-bit key space: rebuilding the
-        # updates raises inside the worker that owns shard 0.
-        bad = ShardUpdateBatch(shard_id=0, entries=((70000, 0, 0, True),))
+        good = ShardUpdateBatch.from_key_arrays(1, [(5, 5, 5)], [True])
+        # Bit 50 lies above the 48 bits of a packed key: the core's range
+        # check raises inside the worker that owns shard 0.
+        bad = ShardUpdateBatch(shard_id=0, codes=[1 << 50], occupied=[True])
         with pytest.raises(ShardBackendError):
             backend.apply_shard_batches([bad, good])
         assert backend.failed is not None

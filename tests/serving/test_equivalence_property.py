@@ -406,12 +406,9 @@ def _shard_batch_rounds(num_shards: int, num_rounds: int, seed: int):
         batches = []
         for shard in range(num_shards):
             coords = rng.uniform((-4.0, -4.0, -2.0), (4.0, 4.0, 2.0), size=(6, 3))
-            occupied = rng.integers(0, 2, size=len(coords))
-            entries = []
-            for (x, y, z), flag in zip(coords, occupied):
-                key = converter.coord_to_key(x, y, z)
-                entries.append((key.x, key.y, key.z, bool(flag)))
-            batches.append(ShardUpdateBatch(shard_id=shard, entries=tuple(entries)))
+            occupied = rng.integers(0, 2, size=len(coords)).astype(bool)
+            keys = converter.coords_to_key_array(coords)
+            batches.append(ShardUpdateBatch.from_key_arrays(shard, keys, occupied))
         rounds.append(batches)
     return rounds
 

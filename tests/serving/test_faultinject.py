@@ -43,10 +43,10 @@ def _rounds(num_rounds: int = 5, n: int = 10):
             x = -6.0 + 0.05 * (index + 37 * round_index)
             key = converter.coord_to_key(x, 0.3 + 0.01 * round_index, 0.2)
             shard = generator.shard_index(key, NUM_SHARDS, 12)
-            batches[shard].append((key.x, key.y, key.z, True))
+            batches[shard].append(key.as_tuple())
             index += 1
         rounds.append(
-            [ShardUpdateBatch(shard_id=s, entries=tuple(e)) for s, e in batches.items()]
+            [ShardUpdateBatch.from_key_arrays(s, k, [True] * len(k)) for s, k in batches.items()]
         )
     return rounds
 

@@ -6,7 +6,7 @@ ingestion path: a session running the batched numpy front end must produce a
 leaf-for-leaf identical map, identical per-shard update counts and identical
 accounting to the same session with ``scalar_frontend=True`` -- on every
 backend, for hypothesis-generated workloads.  It also covers the batch
-plumbing around the kernel: ``from_key_arrays`` wire identity and the
+plumbing around the kernel: ``from_key_arrays`` wire-buffer identity and the
 converter hoist (exactly one converter derivation per session, however many
 flushes run).
 """
@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from repro.core.scheduler import VoxelUpdateRequest
 from repro.core.verification import compare_trees
 from repro.octomap import OcTreeKey, PointCloud
+from repro.octomap.raycast_vec import pack_key_array
 from repro.serving import MapSession, ScanRequest, SessionConfig
 from repro.serving.types import ShardUpdateBatch
 
@@ -185,10 +186,17 @@ class TestBatchWirePlumbing:
         via_objects = ShardUpdateBatch.from_updates(3, updates)
         via_arrays = ShardUpdateBatch.from_key_arrays(3, keys, occupied)
         assert via_arrays == via_objects
-        # Entries must be plain Python scalars (pickle-identical wire form).
-        for entry in via_arrays.entries:
-            assert all(type(component) is int for component in entry[:3])
-            assert type(entry[3]) is bool
+        # Identical wire buffers: same dtypes, same values, same order --
+        # and the codes are the front end's own packing of the keys.
+        for batch in (via_objects, via_arrays):
+            assert batch.codes.dtype == np.uint64
+            assert batch.occupied.dtype == np.bool_
+        assert via_arrays.codes.tobytes() == via_objects.codes.tobytes()
+        assert via_arrays.occupied.tobytes() == via_objects.occupied.tobytes()
+        np.testing.assert_array_equal(via_arrays.codes, pack_key_array(keys))
+        # The packed form is what the wire carries: the batch is also the
+        # same when built from the codes directly.
+        assert ShardUpdateBatch.from_key_arrays(3, pack_key_array(keys), occupied) == via_arrays
 
     def test_converter_derived_once_across_many_flushes(self):
         config = SessionConfig(num_shards=2, batch_size=1)

@@ -130,6 +130,22 @@ async def test_healthz_and_session_lifecycle():
 async def test_submit_flush_query_roundtrip_over_the_wire():
     async with serve() as (server, client):
         await client.create_session("map")
+        # Flush answers with the batches produced after it begins.  Hold the
+        # session lock through the submits so the background flusher cannot
+        # ingest before then, and release it once the flush call has started:
+        # the reply must then cover all 3 scans.
+        service = server.service
+        session_lock = service._entry("map").lock
+        await session_lock.acquire()
+        service_flush = service.flush
+
+        async def flush_then_release(session_id):
+            flushing = asyncio.ensure_future(service_flush(session_id))
+            await asyncio.sleep(0)  # the flush has read its starting point
+            session_lock.release()
+            return await flushing
+
+        service.flush = flush_then_release
         payloads = _scan_payloads(3)
         receipts = [
             await client.submit_scan("map", p["points"], p["origin"], max_range=5.0)
@@ -251,6 +267,21 @@ async def test_malformed_json_is_a_400_with_a_stable_code():
         head, _, payload = response.partition(b"\r\n\r\n")
         assert b"400 Bad Request" in head
         assert json.loads(payload)["error"]["code"] == "bad_json"
+
+
+@async_test
+async def test_out_of_volume_origin_is_a_400_and_the_session_keeps_serving():
+    async with serve() as (server, client):
+        await client.create_session("map")
+        payload = _scan_payloads(1)[0]
+        with pytest.raises(ServerError) as excinfo:
+            await client.submit_scan("map", payload["points"], [1e6, 0.0, 0.0])
+        assert (excinfo.value.status, excinfo.value.code) == (400, "bad_value")
+        assert "outside the mappable volume" in str(excinfo.value)
+        await client.submit_scan("map", payload["points"], payload["origin"])
+        await client.flush("map")
+        session = server.service.manager.get_session("map")
+        assert session.stats.scans_ingested == 1
 
 
 @async_test

@@ -35,16 +35,16 @@ def _batch_for_shard(backend, shard_id, n=64, occupied=True):
 
     generator = AddressGenerator(CONFIG.resolution_m, CONFIG.tree_depth, CONFIG.num_pes)
     converter = generator.converter
-    entries = []
+    keys = []
     index = 0
-    while len(entries) < n and index < 200000:
+    while len(keys) < n and index < 200000:
         x = -7.0 + 0.03 * index
         key = converter.coord_to_key(x, 0.4, 0.2)
         if generator.shard_index(key, backend.num_shards, 12) == shard_id:
-            entries.append((key.x, key.y, key.z, occupied))
+            keys.append(key.as_tuple())
         index += 1
-    assert len(entries) == n, "could not route enough keys to the shard"
-    return ShardUpdateBatch(shard_id=shard_id, entries=tuple(entries))
+    assert len(keys) == n, "could not route enough keys to the shard"
+    return ShardUpdateBatch.from_key_arrays(shard_id, keys, [occupied] * n)
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +103,7 @@ def test_generations_adopted_only_at_drain(name):
 def test_all_empty_async_flush_settles_immediately(name):
     with make_backend(name, CONFIG, num_shards=2) as backend:
         ticket = backend.apply_async(
-            [ShardUpdateBatch(shard_id=0, entries=()), ShardUpdateBatch(shard_id=1, entries=())]
+            [ShardUpdateBatch(shard_id=0), ShardUpdateBatch(shard_id=1)]
         )
         assert ticket.shard_ids == ()
         assert backend.in_flight is None
@@ -141,7 +141,7 @@ def test_abandoned_ticket_acks_are_overwritten_not_leaked():
     with make_backend("inline", CONFIG, num_shards=1) as backend:
         last = None
         for _ in range(50):
-            last = backend.apply_async([ShardUpdateBatch(shard_id=0, entries=())])
+            last = backend.apply_async([ShardUpdateBatch(shard_id=0)])
         assert backend._parked == (last.ticket_id, [])
         assert backend.drain(last) == []
 

@@ -47,13 +47,11 @@ def _batch(shard_id: int, n: int = 8, salt: int = 0) -> ShardUpdateBatch:
     converter = AddressGenerator(
         CONFIG.resolution_m, CONFIG.tree_depth, CONFIG.num_pes
     ).converter
-    entries = []
-    for index in range(n):
-        key = converter.coord_to_key(
-            -3.0 + 0.3 * (index + n * salt), 0.4 * shard_id + 0.1, 0.2
-        )
-        entries.append((key.x, key.y, key.z, True))
-    return ShardUpdateBatch(shard_id=shard_id, entries=tuple(entries))
+    keys = [
+        converter.coord_to_key(-3.0 + 0.3 * (index + n * salt), 0.4 * shard_id + 0.1, 0.2).as_tuple()
+        for index in range(n)
+    ]
+    return ShardUpdateBatch.from_key_arrays(shard_id, keys, [True] * n)
 
 
 def _assert_trees_equal(expected, actual) -> None:
@@ -512,7 +510,7 @@ class TestSocketBackendLifecycle:
         try:
             backend.apply_shard_batches([_batch(0)])
             backend.apply_shard_batches(
-                [ShardUpdateBatch(shard_id=0, entries=()), _batch(1)]
+                [ShardUpdateBatch(shard_id=0), _batch(1)]
             )
             assert backend.replay_log.tail_length(0) == 1
             assert backend.replay_log.tail_length(1) == 1

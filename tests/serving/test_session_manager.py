@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from repro.serving import MapSession, MapSessionManager, ScanRequest, SessionConfig
+from repro.serving import (
+    InvalidScanError,
+    MapSession,
+    MapSessionManager,
+    ScanRequest,
+    SessionConfig,
+)
 
 
 def test_sessions_are_isolated(small_scans):
@@ -91,6 +99,24 @@ def test_session_rejects_foreign_requests(small_scans):
     session = MapSession("mine")
     with pytest.raises(ValueError, match="submitted to"):
         session.submit(ScanRequest.from_scan_node("theirs", small_scans[0]))
+
+
+def test_out_of_volume_origin_is_refused_at_submit(small_scans):
+    """Admitted, such a scan would raise inside the flush that carries it and
+    take the good scans of that batch down with it."""
+    session = MapSession("map", SessionConfig(num_shards=2, batch_size=4))
+    try:
+        good = ScanRequest.from_scan_node("map", small_scans[0])
+        far = replace(good, origin=(1e6, 0.0, 0.0))
+        with pytest.raises(InvalidScanError, match="outside the mappable volume") as info:
+            session.submit(far)
+        assert isinstance(info.value, ValueError)  # HTTP answers 400 bad_value
+        assert session.pending_requests() == 0
+        session.submit(good)
+        (report,) = session.flush_all()
+        assert report.scans == 1 and report.voxel_updates > 0
+    finally:
+        session.close()
 
 
 def test_default_max_range_applied(small_scans):
